@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchkernel bench-kernel bench-smoke prof experiments experiments-full examples vet fmt-check smoke fault collective ci clean
+.PHONY: all build test race bench benchkernel bench-kernel bench-smoke e2ebench-check prof experiments experiments-full examples vet fmt-check smoke fault collective ci clean
 
 all: build test
 
@@ -49,8 +49,14 @@ collective:
 	test -f results-ci/BENCH_collective.json
 	$(GO) run ./cmd/checkmanifest results-ci/BENCH_collective.json
 
+# The end-to-end benchmark is its own Go module (e2ebench/go.mod replaces
+# heteroif with ../), so `go test ./...` at the root never compiles it: an
+# API change that breaks the benchmark would otherwise pass the root gates.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # Everything .github/workflows/ci.yml runs, locally.
-ci: build vet fmt-check test race bench-smoke smoke fault collective
+ci: build vet fmt-check test e2ebench-check race bench-smoke smoke fault collective
 
 bench: bench-kernel
 	$(GO) test -bench=. -benchmem ./...

@@ -193,7 +193,8 @@ func LocalUniformTraffic(spec Spec, blockChiplets int) Pattern {
 
 // OfferPacket enqueues one packet for injection at cycle `at` (which must
 // not precede the current cycle, and must be nondecreasing per source).
-// Use it with RunWithDriver to build custom workloads.
+// Use it with RunWithDriver to build custom workloads. The returned packet
+// is recycled once delivered: read it only until then.
 func OfferPacket(sys *System, src, dst NodeID, flits int, class Class, at int64) *Packet {
 	p := sys.Net.NewPacket(src, dst, flits, at)
 	p.Class = class

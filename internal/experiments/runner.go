@@ -34,6 +34,8 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 	}
 	net.Routing = alg
 	in := &Instance{Net: net, Topo: topo, Stats: &stats.Collector{Warmup: cfg.WarmupCycles}}
+	// Delivered packets are recycled after the sink returns, so it copies
+	// every field it needs into a value struct.
 	net.Sink = func(p *network.Packet) {
 		in.Stats.Record(stats.Measured{
 			Class:          uint8(p.Class),
@@ -51,16 +53,10 @@ func Build(cfg network.Config, spec topology.Spec) (*Instance, error) {
 		})
 	}
 	net.Finalize()
-	// The sink above copies every field it needs into a value struct, so
-	// delivered packets can be recycled.
-	net.PoolPackets = true
 	// A generous hop bound (several diameters) catches any residual
 	// wandering — reachable only under fault injection, where the torus
 	// weighted-distance heuristic can point at a dead wraparound.
 	net.LivelockHopBound = 6 * (topo.GX + topo.GY)
-	// Shard the parallel stepper along chiplet rows so cross-shard traffic
-	// rides the D2D interface links.
-	net.SetShardCuts(topo.ShardCuts())
 	if cfg.Workers > 1 {
 		net.SetWorkers(cfg.Workers)
 	}

@@ -131,11 +131,10 @@ type Config struct {
 	RouteLUTNodes int
 
 	// Workers enables deterministic parallel stepping across this many
-	// shards (≤1 = sequential). Shards cut along chiplet boundaries when
-	// the topology declares them (Network.SetShardCuts) and rebalance to
-	// the live load at quiescence points; on a single-CPU process the
-	// shards run inline. Results are bit-identical to sequential runs for
-	// any value; worth it for saturated many-chiplet systems (1K+ nodes).
+	// shards (≤1 = sequential). Shards are contiguous node ranges cut
+	// once at count-balanced positions; on a single-CPU process they run
+	// inline. Results are bit-identical to sequential runs for any value;
+	// worth it for saturated many-chiplet systems (1K+ nodes).
 	Workers int
 
 	// Seed seeds the run's random source.

@@ -31,8 +31,8 @@
 //     deadlocked state (flitsIn > flitsOut), so the watchdog still trips
 //     at the unoptimized cycle. Drivers that must observe every cycle pass
 //     a nil next-injection callback, which disables skipping.
-//   - In parallel mode, shard bounds prefer chiplet-row cuts; the few
-//     wake-bitmap words a cut crosses are accessed atomically
+//   - In parallel mode, shard bounds are fixed count-balanced cuts; the
+//     few wake-bitmap words a cut crosses are accessed atomically
 //     (sharedWords), every other word keeps exactly one owning worker,
 //     and cross-shard wake-ups travel through per-worker scratch applied
 //     by the deterministic single-threaded merge.

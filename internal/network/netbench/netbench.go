@@ -96,22 +96,14 @@ func BuildMesh(side int) *network.Network {
 	}
 	net.Routing = rt
 	net.Finalize()
-	// Declare mesh-row starts as preferred shard cuts for parallel cases
-	// (the single-chiplet analogue of topology.Topo.ShardCuts).
-	cuts := make([]int, 0, side-1)
-	for b := side; b < n; b += side {
-		cuts = append(cuts, b)
-	}
-	net.SetShardCuts(cuts)
-	net.PoolPackets = true
 	return net
 }
 
 // BuildHeteroTorus constructs a chipletsX×chipletsY hetero-PHY 2D-torus
 // of nodesX×nodesY-node chiplets (the paper's Fig. 6a system) with its
-// production routing algorithm and chiplet-row shard cuts declared,
-// finalized and ready to step. This is the many-chiplet regime where
-// parallel stepping must win — the 1024- and 4096-node kernel cases.
+// production routing algorithm, finalized and ready to step. This is the
+// many-chiplet regime where parallel stepping must win — the 1024- and
+// 4096-node kernel cases.
 func BuildHeteroTorus(chipletsX, chipletsY, nodesX, nodesY int) *network.Network {
 	cfg := network.DefaultConfig()
 	net, topo, err := topology.Build(cfg, topology.Spec{
@@ -128,8 +120,6 @@ func BuildHeteroTorus(chipletsX, chipletsY, nodesX, nodesY int) *network.Network
 	}
 	net.Routing = alg
 	net.Finalize()
-	net.SetShardCuts(topo.ShardCuts())
-	net.PoolPackets = true
 	return net
 }
 

@@ -29,7 +29,9 @@ type Network struct {
 	Now int64
 
 	// Sink is invoked when a packet's tail flit is ejected. Statistics
-	// collectors hook in here.
+	// collectors hook in here. Delivered packets are recycled through a
+	// free list (NewPacket reuses them), so the *Packet is valid only
+	// during the call: copy the fields you need, never retain the pointer.
 	Sink func(*Packet)
 
 	// OnDeliver, when non-nil, is invoked after Sink for every delivered
@@ -37,19 +39,9 @@ type Network struct {
 	// destination node within a cycle; coordinator merge order under
 	// parallel stepping). Closed-loop workload drivers
 	// (internal/collective) observe deliveries here without displacing the
-	// statistics sink. Like Sink, the *Packet must not be retained past
-	// the call when PoolPackets is enabled.
+	// statistics sink. As with Sink, the *Packet is valid only during the
+	// call.
 	OnDeliver func(*Packet)
-
-	// Tracer, when non-nil, receives per-flit simulation events
-	// (injection, hops, ejection, allocation failures) for debugging.
-	Tracer Tracer
-
-	// PoolPackets recycles delivered Packet structs through a free list
-	// (NewPacket reuses them after Sink returns). Enable only when no Sink
-	// or Tracer retains *Packet pointers past the Sink call; the built-in
-	// experiment runners copy into value structs and qualify.
-	PoolPackets bool
 
 	sources []source
 
@@ -82,9 +74,6 @@ type Network struct {
 
 	par        *parallelState
 	seqScratch workerScratch
-	// shardCuts are the preferred shard boundaries (chiplet rows) declared
-	// via SetShardCuts, consulted by the parallel partitioner.
-	shardCuts []int
 
 	// Route-acceleration state, derived on the first Step (after topology
 	// construction and any fault injection) from the routing algorithm's
@@ -215,8 +204,10 @@ func (net *Network) Finalize() {
 // rings and credit arrays into contiguous per-network slabs, in (router,
 // port, VC) order — the structure-of-arrays layout behind the saturated
 // hot path. Topology builders still create ports as individual heap
-// objects; Finalize migrates them here, copying all live state verbatim
-// (ring contents and staging cursors included, so a re-Finalize mid-run is
+// objects, but without flit rings: every ring is first allocated here, in
+// the flit slab, so a build does not allocate its largest structure twice.
+// Finalize migrates the ports here, copying all live state verbatim (ring
+// contents and staging cursors included, so a re-Finalize mid-run is
 // safe). Every pointer into the old homes is rebound afterwards: Finalize
 // re-binds the link closures and dstIn/srcOut, rebuildWork the flat slot
 // tables. The slabs are reachable only through the routers' port slices,
@@ -233,9 +224,7 @@ func (net *Network) packSlabs() {
 		nOut += len(r.Out)
 		for _, in := range r.In {
 			nVC += len(in.VCs)
-			for v := range in.VCs {
-				nFlit += in.VCs[v].Buf.Cap()
-			}
+			nFlit += len(in.VCs) * int(in.depth)
 		}
 		for _, out := range r.Out {
 			nCred += len(out.Credits)
@@ -259,8 +248,9 @@ func (net *Network) packSlabs() {
 			for v := range in.VCs {
 				vc := &p.VCs[v]
 				*vc = in.VCs[v]
-				ring := flitSlab[iFlit : iFlit+vc.Buf.Cap()]
-				iFlit += vc.Buf.Cap()
+				depth := int(in.depth)
+				ring := flitSlab[iFlit : iFlit+depth]
+				iFlit += depth
 				copy(ring, vc.Buf.buf)
 				vc.Buf.buf = ring
 			}
@@ -346,8 +336,8 @@ func (net *Network) rebuildWake() {
 }
 
 // NewPacket allocates a packet with a fresh ID, reusing a delivered packet
-// from the free list when PoolPackets is enabled. The caller fills class
-// and priority, then Offers it.
+// from the free list when one is available. The caller fills class and
+// priority, then Offers it.
 func (net *Network) NewPacket(src, dst NodeID, length int, createdAt int64) *Packet {
 	net.nextPktID++
 	p := (*Packet)(nil)
@@ -431,13 +421,13 @@ func (net *Network) Step() {
 	// Phase 2: router pipelines, ascending node order (Sink determinism
 	// depends on it — see the package comment).
 	sc := &net.seqScratch
-	ctx := tickContext{net: net, scratch: sc, tracer: net.Tracer, reference: net.refTick}
+	ctx := tickContext{net: net, scratch: sc, reference: net.refTick}
 	net.tickNodes(&ctx, 0, len(net.nodeWake))
 
 	// Phase 3: injection, ascending node order.
 	net.injectNodes(sc, 0, len(net.srcWake))
 
-	net.mergeScratch(sc, net.Tracer != nil)
+	net.mergeScratch(sc)
 	net.watchdog()
 	net.Now++
 }
@@ -555,8 +545,9 @@ func (net *Network) injectNodes(sc *workerScratch, wlo, whi int) {
 }
 
 // mergeScratch folds per-phase accumulators into the network counters and
-// retires the packets whose tail flits were ejected this cycle.
-func (net *Network) mergeScratch(sc *workerScratch, traceEjects bool) {
+// retires the packets whose tail flits were ejected this cycle: each is
+// handed to Sink and OnDeliver, then returned to the free list.
+func (net *Network) mergeScratch(sc *workerScratch) {
 	net.moved += sc.moved
 	net.flitsIn += sc.flitsIn
 	net.flitsOut += sc.flitsOut
@@ -568,18 +559,13 @@ func (net *Network) mergeScratch(sc *workerScratch, traceEjects bool) {
 	}
 	for _, pkt := range sc.finished {
 		pkt.ArrivedAt = net.Now
-		if traceEjects && net.Tracer != nil {
-			net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvEject, Pkt: pkt.ID, Node: pkt.Dst})
-		}
 		if net.Sink != nil {
 			net.Sink(pkt)
 		}
 		if net.OnDeliver != nil {
 			net.OnDeliver(pkt)
 		}
-		if net.PoolPackets {
-			net.pktFree = append(net.pktFree, pkt)
-		}
+		net.pktFree = append(net.pktFree, pkt)
 	}
 	// Fold links woken by this shard's routers into the wake lists. A
 	// shard's routers may source links of any shard, so distribution runs
@@ -674,9 +660,6 @@ func (net *Network) injectNode(n int, sc *workerScratch, atomicWake bool) {
 				s.cur, s.curSeq, s.curVC = p, 0, VCID(best)
 				p.InjectedAt = net.Now
 				sc.pktsIn++
-				if net.par == nil && net.Tracer != nil {
-					net.Tracer.Trace(Event{Cycle: net.Now, Kind: EvInject, Pkt: p.ID, Node: p.Src})
-				}
 			}
 			vc := &in.VCs[s.curVC]
 			if budget > 0 && s.curSeq < int32(s.cur.Length) && vc.Buf.Free() > 0 {
@@ -745,11 +728,6 @@ func (net *Network) RunWith(cycles int64, drive func(now int64), next func(now i
 		if (drive != nil && next == nil) || !net.idle() {
 			continue
 		}
-		// A quiescence boundary: the cheapest point to re-shard, and the
-		// only one where repartitioning cost is off any critical path.
-		if p := net.par; p != nil {
-			p.maybeRebalance(net)
-		}
 		target := end
 		if t := net.nextSourceEvent(); t >= 0 && t < target {
 			target = t
@@ -777,9 +755,6 @@ func (net *Network) Drain() (bool, error) {
 			return true, nil
 		}
 		if net.idle() {
-			if p := net.par; p != nil {
-				p.maybeRebalance(net)
-			}
 			if t := net.nextSourceEvent(); t > net.Now {
 				net.Now = min(t, deadline)
 				continue

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
-	"sort"
 	"sync/atomic"
 )
 
@@ -19,18 +18,14 @@ import (
 //     all owned by exactly one router;
 //   - injection writes only the node's own source queue and buffers.
 //
-// Shards are contiguous node ranges chosen by a weight-balancing
-// partitioner that prefers to cut along chiplet boundaries
-// (Network.SetShardCuts, fed by topology.Topo.ShardCuts): cross-shard
-// traffic then rides the modeled D2D interface links instead of
-// intra-chiplet mesh hops, and the wake words interior to a chiplet row
-// keep a single owner. Boundaries are no longer forced to multiples of 64:
-// a nodeWake/srcWake bitmap word crossed by a shard boundary is marked in
-// sharedWords and accessed with atomic Or/And/Load; all other words keep
-// the plain single-owner fast path. Shard sizes follow live load — at
-// every quiescence boundary (RunWith/Drain fast-forward points) the
-// partitioner re-weights nodes by the source-queue wake population, so an
-// idle chiplet doesn't pin a worker while another drowns.
+// Shards are contiguous node ranges whose bounds are fixed once, in
+// SetWorkers: each cut sits at its count-balanced position, moved to the
+// nearest 64-aligned node when one lies within a quarter of an ideal shard
+// (the cut's wake word then keeps a single owner). A cut that stays inside
+// a nodeWake/srcWake bitmap word marks that word in sharedWords, and that
+// word alone is accessed with atomic Or/And/Load; all other words keep the
+// plain single-owner fast path. Sub-word cuts are what give a 64-node
+// system more than one non-empty shard.
 //
 // Work is executed by persistent worker goroutines parked on per-worker
 // command channels; the two phase closures are bound once in SetWorkers,
@@ -44,7 +39,7 @@ import (
 // folded into the owning shard's wake list by the coordinator at the merge
 // barrier. Shared aggregates (movement counters, grant/VA statistics,
 // finished packets) are accumulated per worker and merged at the barrier,
-// and the Sink/Tracer callbacks run on the coordinating goroutine, so
+// and the Sink/OnDeliver callbacks run on the coordinating goroutine, so
 // results are bit-identical to sequential stepping regardless of worker
 // count or shard placement — see TestParallelMatchesSequential and
 // experiments.TestParallelOracle.
@@ -54,29 +49,22 @@ type parallelState struct {
 	// has one usable CPU: identical shard semantics, zero dispatch cost.
 	single bool
 
-	// bounds[w]..bounds[w+1] is shard w's node range (arbitrary positions;
-	// see sharedWords).
-	bounds    []int
-	newBounds []int   // partition scratch
-	prefix    []int64 // partition scratch: prefix[i] = weight of nodes [0,i)
-	weights   []int32 // rebalance scratch
+	// bounds[w]..bounds[w+1] is shard w's node range (see cutBounds).
+	bounds []int
 
-	nodeShard    []int32 // owning shard of each node
 	linkDstShard []int32 // owning shard of each link's forward wake entry
 	linkSrcShard []int32 // owning shard of each link's credit wake entry
 
 	// sharedWords is a bitmap over nodeWake/srcWake *word* indices: a set
 	// bit marks a word crossed by a shard boundary, which must be accessed
-	// atomically. Empty in single mode.
+	// atomically. All zero in single mode.
 	sharedWords []uint64
 
 	fwdWake [][]int32 // per dst-shard links with non-empty forward pipelines
 	crWake  [][]int32 // per src-shard links with credits in flight
-	tmp     []int32   // refit scratch for re-homing wake entries
 
 	// deliverFns are the per-link delivery closures, the parallel twin of
-	// Network.deliverFns. They resolve the owning shard's scratch through
-	// linkDstShard at call time, so rebalancing never rebuilds closures.
+	// Network.deliverFns, each bound to its owning shard's scratch.
 	deliverFns []func(Flit)
 
 	scratch []workerScratch
@@ -85,9 +73,7 @@ type parallelState struct {
 	// values so a step allocates nothing.
 	phase1Fn func(int)
 	phase2Fn func(int)
-	cmd      []chan func(int)
-	ack      []chan struct{}
-	stopped  bool
+	pool     *workerPool // nil in single mode
 }
 
 type workerScratch struct {
@@ -105,32 +91,6 @@ type workerScratch struct {
 	_pad [64]byte // avoid false sharing between workers
 }
 
-// srcWakeWeight is the extra partition weight of a node whose source queue
-// holds work: loaded regions get proportionally smaller shards.
-const srcWakeWeight = 8
-
-// SetShardCuts declares preferred shard boundary positions, normally the
-// chiplet-row starts from topology.Topo.ShardCuts. The partitioner snaps a
-// balanced cut to the nearest preferred position within its imbalance
-// slack, keeping cross-shard traffic on the modeled D2D interface links.
-// Out-of-range positions are dropped. May be called before or after
-// SetWorkers; an active sharding is re-cut immediately.
-func (net *Network) SetShardCuts(cuts []int) {
-	net.shardCuts = net.shardCuts[:0]
-	total := len(net.Nodes)
-	for _, c := range cuts {
-		if c > 0 && c < total {
-			net.shardCuts = append(net.shardCuts, c)
-		}
-	}
-	sort.Ints(net.shardCuts)
-	if p := net.par; p != nil {
-		if p.partition(net, nil) {
-			p.refit(net)
-		}
-	}
-}
-
 // SetWorkers enables parallel stepping across n goroutines (1 or 0
 // restores sequential mode). Call after Finalize. Results are identical to
 // sequential stepping; speedups appear on saturated systems from a few
@@ -139,38 +99,34 @@ func (net *Network) SetShardCuts(cuts []int) {
 // sequential throughput).
 func (net *Network) SetWorkers(n int) {
 	if net.par != nil {
-		net.par.stopWorkers()
+		if pool := net.par.pool; pool != nil {
+			pool.stop()
+		}
 		net.par = nil
 	}
 	if n <= 1 {
 		net.rebuildWake()
 		return
 	}
-	if net.Tracer != nil {
-		panic("network: parallel stepping does not support a Tracer (events would race); detach it first")
-	}
 	total := len(net.Nodes)
 	words := (total + 63) / 64
-	p := &parallelState{workers: n, single: effectiveParallelism() < 2 && !forceWorkerDispatch}
-	p.bounds = make([]int, n+1)
-	p.newBounds = make([]int, n+1)
-	p.nodeShard = make([]int32, total)
-	p.linkDstShard = make([]int32, len(net.Links))
-	p.linkSrcShard = make([]int32, len(net.Links))
-	p.sharedWords = make([]uint64, (words+63)/64)
-	p.scratch = make([]workerScratch, n)
-	p.fwdWake = make([][]int32, n)
-	p.crWake = make([][]int32, n)
-	p.partition(net, nil)
-	p.refit(net)
+	p := &parallelState{
+		workers:      n,
+		single:       effectiveParallelism() < 2 && !forceWorkerDispatch,
+		bounds:       cutBounds(total, n),
+		linkDstShard: make([]int32, len(net.Links)),
+		linkSrcShard: make([]int32, len(net.Links)),
+		sharedWords:  make([]uint64, (words+63)/64),
+		scratch:      make([]workerScratch, n),
+		fwdWake:      make([][]int32, n),
+		crWake:       make([][]int32, n),
+	}
+	p.fit(net)
 	p.bindDeliverFns(net)
 	p.phase1Fn = func(w int) { net.parPhase1(w) }
 	p.phase2Fn = func(w int) { net.parPhase2(w) }
 	if !p.single {
-		p.startWorkers()
-		// Workers capture only their channels, so an abandoned Network
-		// stays collectable and the finalizer releases its goroutines.
-		runtime.SetFinalizer(p, (*parallelState).stopWorkers)
+		p.pool = startWorkers(n)
 	}
 	net.par = p
 	net.rebuildWake()
@@ -192,167 +148,75 @@ func effectiveParallelism() int {
 	return n
 }
 
-// partition recomputes shard bounds balancing per-node weights (nil means
-// uniform), snapping each cut to a preferred chiplet boundary — or
-// failing that a 64-aligned position — when one lies within the balance
-// slack. Reports whether the bounds changed; the caller must refit then.
-func (p *parallelState) partition(net *Network, weights []int32) bool {
-	total := len(net.Nodes)
-	n := p.workers
-	if p.prefix == nil {
-		p.prefix = make([]int64, total+1)
-	}
-	var sum int64
-	for i := 0; i < total; i++ {
-		p.prefix[i] = sum
-		if weights != nil {
-			sum += int64(weights[i])
-		} else {
-			sum++
-		}
-	}
-	p.prefix[total] = sum
-	nb := p.newBounds
-	nb[0], nb[n] = 0, total
-	// A cut may drift from its balanced position by a quarter of an ideal
-	// shard before we stop snapping to preferred boundaries.
-	slack := sum/(4*int64(n)) + 1
+// cutBounds returns the shard bounds of a total-node network split n
+// ways: cut w sits at total*w/n, moved to the nearest 64-aligned node
+// within a quarter of an ideal shard (the lower one on a tie), else left
+// exact. The aligned node above never lies past total when it is within
+// the slack: total-t is at least an ideal shard, four times the slack.
+func cutBounds(total, n int) []int {
+	b := make([]int, n+1)
+	b[n] = total
+	slack := total/(4*n) + 1
 	for w := 1; w < n; w++ {
-		b := p.cutNear(net, sum*int64(w)/int64(n), slack)
-		if b < nb[w-1] {
-			b = nb[w-1]
+		t := total * w / n
+		c := t
+		lo, hi := t&^63, (t+63)&^63
+		switch {
+		case t-lo <= slack && t-lo <= hi-t:
+			c = lo
+		case hi-t <= slack:
+			c = hi
 		}
-		if b > total {
-			b = total
-		}
-		nb[w] = b
+		b[w] = max(c, b[w-1])
 	}
-	changed := false
-	for i := 0; i <= n; i++ {
-		if nb[i] != p.bounds[i] {
-			changed = true
-			break
-		}
-	}
-	if changed {
-		copy(p.bounds, nb)
-	}
-	return changed
+	return b
 }
 
-// cutNear picks the cut position for target prefix weight t: the nearest
-// preferred cut within slack, else the nearest 64-aligned position within
-// slack (keeping the wake word single-owner), else the exact balanced
-// position.
-func (p *parallelState) cutNear(net *Network, t, slack int64) int {
+// fit derives everything that follows from bounds: the link→shard maps
+// and the shared-word bitmap.
+func (p *parallelState) fit(net *Network) {
 	total := len(net.Nodes)
-	pos := sort.Search(total+1, func(i int) bool { return p.prefix[i] >= t })
-	best, bestD := -1, slack+1
-	try := func(c int) {
-		if c < 0 || c > total {
-			return
-		}
-		if d := abs64(p.prefix[c] - t); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	if cuts := net.shardCuts; len(cuts) > 0 {
-		ci := sort.SearchInts(cuts, pos)
-		if ci < len(cuts) {
-			try(cuts[ci])
-		}
-		if ci > 0 {
-			try(cuts[ci-1])
-		}
-		if best >= 0 {
-			return best
-		}
-	}
-	try(pos &^ 63)
-	try((pos + 63) &^ 63)
-	if best >= 0 {
-		return best
-	}
-	return pos
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// refit rebuilds everything derived from bounds: node→shard and
-// link→shard maps, the shared-word bitmap, and the homes of any queued
-// wake-list entries. Wake membership itself is unchanged — repartitioning
-// never touches simulation state, only ownership.
-func (p *parallelState) refit(net *Network) {
-	total := len(net.Nodes)
-	n := p.workers
+	nodeShard := make([]int32, total)
 	for i, w := 0, 0; i < total; i++ {
-		for w+1 < n && i >= p.bounds[w+1] {
+		for w+1 < p.workers && i >= p.bounds[w+1] {
 			w++
 		}
-		p.nodeShard[i] = int32(w)
-	}
-	for i := range p.sharedWords {
-		p.sharedWords[i] = 0
+		nodeShard[i] = int32(w)
 	}
 	if !p.single {
 		// A boundary interior to a 64-node word makes that word visible to
 		// two shards; inline (single) execution needs no atomics.
-		for w := 1; w < n; w++ {
-			if b := p.bounds[w]; b&63 != 0 && b < total {
+		for _, b := range p.bounds[1:p.workers] {
+			if b&63 != 0 && b < total {
 				wi := uint(b) >> 6
 				p.sharedWords[wi>>6] |= 1 << (wi & 63)
 			}
 		}
 	}
 	for i, l := range net.Links {
-		p.linkDstShard[i] = p.nodeShard[l.Dst]
-		p.linkSrcShard[i] = p.nodeShard[l.Src]
-	}
-	// Re-home queued wake entries (only non-empty when cuts move while
-	// link pipelines hold work, e.g. SetShardCuts mid-run).
-	p.tmp = p.tmp[:0]
-	for w := range p.fwdWake {
-		p.tmp = append(p.tmp, p.fwdWake[w]...)
-		p.fwdWake[w] = p.fwdWake[w][:0]
-	}
-	for _, li := range p.tmp {
-		d := p.linkDstShard[li]
-		p.fwdWake[d] = append(p.fwdWake[d], li)
-	}
-	p.tmp = p.tmp[:0]
-	for w := range p.crWake {
-		p.tmp = append(p.tmp, p.crWake[w]...)
-		p.crWake[w] = p.crWake[w][:0]
-	}
-	for _, li := range p.tmp {
-		s := p.linkSrcShard[li]
-		p.crWake[s] = append(p.crWake[s], li)
+		p.linkDstShard[i] = nodeShard[l.Dst]
+		p.linkSrcShard[i] = nodeShard[l.Src]
 	}
 }
 
-// bindDeliverFns builds the per-link delivery closures once. The closures
-// look the owning scratch up through linkDstShard at call time, so
-// rebalancing needs no rebinding.
+// bindDeliverFns builds the per-link delivery closures once, each bound
+// to the scratch and wake-word mode of the link's destination shard.
 func (p *parallelState) bindDeliverFns(net *Network) {
 	p.deliverFns = make([]func(Flit), len(net.Links))
 	for i, l := range net.Links {
 		dst := net.Nodes[l.Dst]
 		port := l.DstPort
 		wi, bit := uint(l.Dst)>>6, uint64(1)<<(uint(l.Dst)&63)
-		li := int32(i)
+		shared := p.isShared(wi)
+		sc := &p.scratch[p.linkDstShard[i]]
 		p.deliverFns[i] = func(f Flit) {
 			dst.deliver(port, f)
-			if p.isShared(wi) {
+			if shared {
 				atomic.OrUint64(&net.nodeWake[wi], bit)
 			} else {
 				net.nodeWake[wi] |= bit
 			}
-			p.scratch[p.linkDstShard[li]].moved++
+			sc.moved++
 		}
 	}
 }
@@ -363,50 +227,36 @@ func (p *parallelState) isShared(wi uint) bool {
 	return p.sharedWords[wi>>6]>>(wi&63)&1 != 0
 }
 
-// maybeRebalance re-weights the partition from the live wake population.
-// Called only at quiescence boundaries (net.idle()): no flits are
-// buffered or in flight, so nodeWake is empty and the source-queue wake
-// bitmap is the only live load signal.
-func (p *parallelState) maybeRebalance(net *Network) {
-	total := len(net.Nodes)
-	if p.weights == nil {
-		p.weights = make([]int32, total)
-	}
-	any := false
-	for i := 0; i < total; i++ {
-		w := int32(1)
-		if net.srcWake[uint(i)>>6]>>(uint(i)&63)&1 != 0 {
-			w += srcWakeWeight
-			any = true
-		}
-		p.weights[i] = w
-	}
-	ws := p.weights
-	if !any {
-		ws = nil
-	}
-	if p.partition(net, ws) {
-		p.refit(net)
-	}
+// workerPool owns the persistent worker goroutines. It holds only their
+// channels, nothing that reaches the Network, so an abandoned Network
+// makes the pool unreachable too and its finalizer releases the
+// goroutines. (A finalizer on parallelState would never run: its phase
+// closures reach the Network, which reaches the state back, and the
+// runtime does not finalize objects on a cycle.)
+type workerPool struct {
+	cmd []chan func(int) // index 0 unused: worker 0 is the coordinator
+	ack []chan struct{}
 }
 
-// startWorkers launches the persistent worker goroutines, parked on their
-// command channels between steps.
-func (p *parallelState) startWorkers() {
-	p.cmd = make([]chan func(int), p.workers)
-	p.ack = make([]chan struct{}, p.workers)
-	for w := 1; w < p.workers; w++ {
+// startWorkers launches workers-1 persistent worker goroutines, parked on
+// their command channels between steps.
+func startWorkers(workers int) *workerPool {
+	pool := &workerPool{
+		cmd: make([]chan func(int), workers),
+		ack: make([]chan struct{}, workers),
+	}
+	for w := 1; w < workers; w++ {
 		cmd := make(chan func(int), 1)
 		ack := make(chan struct{}, 1)
-		p.cmd[w], p.ack[w] = cmd, ack
+		pool.cmd[w], pool.ack[w] = cmd, ack
 		go parallelWorker(w, cmd, ack)
 	}
+	runtime.SetFinalizer(pool, (*workerPool).release)
+	return pool
 }
 
 // parallelWorker is deliberately a top-level function capturing nothing
-// but its channels, so an abandoned Network (and its parallelState) stays
-// collectable; the state's finalizer closes cmd and releases the
-// goroutine.
+// but its channels, so it keeps neither the Network nor the pool alive.
 func parallelWorker(w int, cmd <-chan func(int), ack chan<- struct{}) {
 	for fn := range cmd {
 		fn(w)
@@ -417,26 +267,28 @@ func parallelWorker(w int, cmd <-chan func(int), ack chan<- struct{}) {
 // dispatch runs fn(worker) on every worker and waits. The channel
 // send/receive pairs provide the happens-before edges that publish one
 // phase's writes to every shard before the next phase reads them.
-func (p *parallelState) dispatch(fn func(int)) {
-	for w := 1; w < p.workers; w++ {
-		p.cmd[w] <- fn
+func (pool *workerPool) dispatch(fn func(int)) {
+	for w := 1; w < len(pool.cmd); w++ {
+		pool.cmd[w] <- fn
 	}
 	fn(0)
-	for w := 1; w < p.workers; w++ {
-		<-p.ack[w]
+	for w := 1; w < len(pool.cmd); w++ {
+		<-pool.ack[w]
 	}
 }
 
-// stopWorkers releases the worker goroutines. SetWorkers calls it when
-// re-sharding or restoring sequential mode; a finalizer covers abandoned
-// networks.
-func (p *parallelState) stopWorkers() {
-	if p.stopped {
-		return
-	}
-	p.stopped = true
-	for w := 1; w < len(p.cmd); w++ {
-		close(p.cmd[w])
+// stop releases the worker goroutines of a pool in use; SetWorkers calls
+// it when re-sharding or restoring sequential mode. It cancels the
+// finalizer first, so the channels are closed exactly once.
+func (pool *workerPool) stop() {
+	runtime.SetFinalizer(pool, nil)
+	pool.release()
+}
+
+// release ends the worker goroutines by closing their command channels.
+func (pool *workerPool) release() {
+	for _, cmd := range pool.cmd[1:] {
+		close(cmd)
 	}
 }
 
@@ -452,14 +304,14 @@ func (net *Network) stepParallel() {
 			net.parPhase2(w)
 		}
 	} else {
-		p.dispatch(p.phase1Fn)
-		p.dispatch(p.phase2Fn)
+		p.pool.dispatch(p.phase1Fn)
+		p.pool.dispatch(p.phase2Fn)
 	}
 
 	// Merge scratch, run sinks and distribute woken links in deterministic
 	// (shard) order.
 	for w := range p.scratch {
-		net.mergeScratch(&p.scratch[w], false)
+		net.mergeScratch(&p.scratch[w])
 	}
 
 	net.watchdog()
@@ -476,17 +328,10 @@ func (net *Network) parPhase1(w int) {
 	p := net.par
 	if lw := p.fwdWake[w]; len(lw) > 0 {
 		sc := &p.scratch[w]
-		// Inline (single-CPU) mode runs every shard on the coordinator, so
-		// the cheaper sequential per-flit closures are safe — the parallel
-		// twins pay a per-flit shard lookup only real workers need.
-		fns := p.deliverFns
-		if p.single {
-			fns = net.deliverFns
-		}
 		keep := lw[:0]
 		for _, li := range lw {
 			l := net.Links[li]
-			net.linkArrivals(l, fns[li], &sc.moved, p.isShared(uint(l.Dst)>>6))
+			net.linkArrivals(l, p.deliverFns[li], &sc.moved, p.isShared(uint(l.Dst)>>6))
 			if l.fwdBusy() {
 				keep = append(keep, li)
 			} else {

@@ -1,6 +1,10 @@
 package network
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestParallelMatchesSequential: the parallel stepper must be bit-identical
 // to sequential stepping — same deliveries, same latencies, same counters.
@@ -83,24 +87,11 @@ func (ringRouting) Route(net *Network, r *Router, _ int, pkt *Packet, buf []Cand
 	panic("ring: no out port")
 }
 
-// rowCuts lists the mesh-row starts of a side×side mesh, standing in for
-// the chiplet-row cut points topology.Topo.ShardCuts produces.
-func rowCuts(side int) []int {
-	var cuts []int
-	for b := side; b < side*side; b += side {
-		cuts = append(cuts, b)
-	}
-	return cuts
-}
-
 // runSaturatedMesh drives a saturated side×side mesh for the given cycles
 // and returns the network plus per-packet arrival times.
-func runSaturatedMesh(t *testing.T, side, workers int, cuts []int, cycles int64) (*Network, map[uint64]int64) {
+func runSaturatedMesh(t *testing.T, side, workers int, cycles int64) (*Network, map[uint64]int64) {
 	t.Helper()
 	net := buildXYMesh(t, side, true)
-	if cuts != nil {
-		net.SetShardCuts(cuts)
-	}
 	if workers > 1 {
 		net.SetWorkers(workers)
 	}
@@ -116,8 +107,8 @@ func runSaturatedMesh(t *testing.T, side, workers int, cuts []int, cycles int64)
 	return net, arr
 }
 
-// TestParallelSubWordShards: with chiplet-row cuts a 64-node mesh splits
-// mid-word (no more empty second shard), the boundary wake word goes
+// TestParallelSubWordShards: a 64-node mesh splits mid-word (no empty
+// second shard, as a 64-aligned cut would leave), the boundary wake word goes
 // through the atomic shared-word path, and results stay bit-identical to
 // sequential stepping. forceWorkerDispatch makes the real goroutine
 // dispatch run even on a single-CPU host, so `go test -race` checks the
@@ -127,18 +118,18 @@ func TestParallelSubWordShards(t *testing.T) {
 	forceWorkerDispatch = true
 
 	const side, cycles = 8, 800
-	seqNet, want := runSaturatedMesh(t, side, 1, nil, cycles)
+	seqNet, want := runSaturatedMesh(t, side, 1, cycles)
 	if len(want) == 0 {
 		t.Fatal("no traffic delivered")
 	}
 	for _, workers := range []int{2, 3, 5} {
-		net, got := runSaturatedMesh(t, side, workers, rowCuts(side), cycles)
+		net, got := runSaturatedMesh(t, side, workers, cycles)
 		p := net.par
 		if p.single {
 			t.Fatalf("workers=%d: forced dispatch did not take effect", workers)
 		}
 		if workers == 2 && p.bounds[1] != 32 {
-			t.Errorf("workers=2: bounds=%v, want the 64-node mesh cut at row 4 (node 32)", p.bounds)
+			t.Errorf("workers=2: bounds=%v, want the 64-node mesh cut at node 32", p.bounds)
 		}
 		shared := false
 		for _, w := range p.sharedWords {
@@ -161,93 +152,29 @@ func TestParallelSubWordShards(t *testing.T) {
 	}
 }
 
-// TestShardCutsSnap: the partitioner prefers a declared cut within its
-// balance slack over the 64-aligned fallback, and rejects one outside it.
-func TestShardCutsSnap(t *testing.T) {
-	net := buildXYMesh(t, 16, false) // 256 nodes
-	net.SetShardCuts([]int{120})
-	net.SetWorkers(2)
-	if got := net.par.bounds[1]; got != 120 {
-		t.Errorf("cut at 120 within slack not taken: bounds[1]=%d", got)
-	}
-	net.SetShardCuts([]int{8}) // hopelessly unbalanced: fall back to 64-aligned
-	if got := net.par.bounds[1]; got != 128 {
-		t.Errorf("want 64-aligned fallback cut 128, got %d", got)
-	}
-	net.SetWorkers(0)
-}
-
-// TestParallelRebalanceAtQuiescence: when only the top mesh rows hold
-// queued work, the quiescence rebalance shifts the cut so the loaded
-// region gets a smaller shard, then reverts once the load drains — and a
-// skewed-load run stays bit-identical to sequential stepping throughout.
-func TestParallelRebalanceAtQuiescence(t *testing.T) {
-	skewed := func(net *Network) {
-		// Nodes 48..63 exchange bursts starting at cycle 50; the rest idle.
-		for src := 48; src < 64; src++ {
-			for k := 0; k < 8; k++ {
-				dst := 48 + (src-48+k+1)%16
-				net.Offer(net.NewPacket(NodeID(src), NodeID(dst), 4, int64(50+29*k)))
+// TestCutBounds: each cut is the count-balanced position, moved to a
+// 64-aligned node within a quarter of an ideal shard, else left exact.
+func TestCutBounds(t *testing.T) {
+	for _, tc := range []struct {
+		total, n int
+		want     []int
+	}{
+		{64, 2, []int{0, 32, 64}},                // no aligned node within slack
+		{256, 2, []int{0, 128, 256}},             // already aligned
+		{784, 2, []int{0, 384, 784}},             // snapped down from 392
+		{1296, 4, []int{0, 320, 640, 960, 1296}}, // 324, 648, 972 snapped
+		{100, 2, []int{0, 50, 100}},              // 64 is 14 away, beyond the slack of 13
+		{3, 4, []int{0, 0, 0, 2, 3}},             // more workers than nodes: empty shards
+	} {
+		got := cutBounds(tc.total, tc.n)
+		if len(got) != len(tc.want) {
+			t.Fatalf("cutBounds(%d, %d) = %v, want %v", tc.total, tc.n, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("cutBounds(%d, %d) = %v, want %v", tc.total, tc.n, got, tc.want)
 			}
 		}
-	}
-
-	net := buildXYMesh(t, 8, false)
-	net.SetShardCuts(rowCuts(8))
-	net.SetWorkers(2)
-	p := net.par
-	if p.bounds[1] != 32 {
-		t.Fatalf("initial bounds %v, want cut at 32", p.bounds)
-	}
-	skewed(net)
-	p.maybeRebalance(net)
-	if p.bounds[1] <= 32 {
-		t.Errorf("rebalance kept bounds %v despite all load on nodes 48..63", p.bounds)
-	}
-	for i := range net.Nodes {
-		want := int32(0)
-		if i >= p.bounds[1] {
-			want = 1
-		}
-		if p.nodeShard[i] != want {
-			t.Fatalf("nodeShard[%d]=%d inconsistent with bounds %v", i, p.nodeShard[i], p.bounds)
-		}
-	}
-
-	run := func(workers int) (map[uint64]int64, []int) {
-		net := buildXYMesh(t, 8, true)
-		net.SetShardCuts(rowCuts(8))
-		if workers > 1 {
-			net.SetWorkers(workers)
-		}
-		arr := map[uint64]int64{}
-		net.Sink = func(p *Packet) { arr[p.ID] = p.ArrivedAt }
-		skewed(net)
-		if err := net.RunWith(800, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.CheckCredits(); err != nil {
-			t.Fatal(err)
-		}
-		if workers > 1 {
-			return arr, net.par.bounds
-		}
-		return arr, nil
-	}
-	want, _ := run(1)
-	got, bounds := run(2)
-	if len(want) == 0 || len(got) != len(want) {
-		t.Fatalf("deliveries differ: %d vs %d", len(got), len(want))
-	}
-	for id, at := range want {
-		if got[id] != at {
-			t.Fatalf("packet %d arrived at %d parallel, %d sequential", id, got[id], at)
-		}
-	}
-	// After the drain the final quiescence rebalance sees uniform load and
-	// restores the balanced chiplet cut.
-	if bounds[1] != 32 {
-		t.Errorf("post-drain bounds %v, want reverted cut at 32", bounds)
 	}
 }
 
@@ -259,8 +186,6 @@ func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
 	forceWorkerDispatch = true
 
 	net := buildXYMesh(t, 8, false)
-	net.PoolPackets = true
-	net.SetShardCuts(rowCuts(8))
 	net.SetWorkers(2)
 	for net.Now < 3000 {
 		saturateXYMesh(net, net.Now)
@@ -275,13 +200,34 @@ func TestParallelStepSaturatedZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestSetWorkersRejectsTracer(t *testing.T) {
-	net, _ := twoNodeNet(t, KindOnChip, nil)
-	net.Tracer = &CollectorTracer{}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetWorkers accepted a tracer")
+// TestDroppedParallelNetworkReleasesWorkers: a network stepped by real
+// worker goroutines and then dropped without SetWorkers(0) must not keep
+// its workers alive — nor, through them, itself.
+func TestDroppedParallelNetworkReleasesWorkers(t *testing.T) {
+	defer func(old bool) { forceWorkerDispatch = old }(forceWorkerDispatch)
+	forceWorkerDispatch = true
+
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	func() {
+		for i := 0; i < 5; i++ {
+			net := buildXYMesh(t, 4, false)
+			net.SetWorkers(2)
+			for net.Now < 50 {
+				saturateXYMesh(net, net.Now)
+				net.Step()
+			}
 		}
 	}()
-	net.SetWorkers(4)
+	// Finalizers run on their own goroutine after the collection that
+	// found the object unreachable, so give them a bounded number of
+	// rounds.
+	for try := 0; try < 50; try++ {
+		runtime.GC()
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Errorf("%d goroutines after dropping 5 parallel networks, want at most the %d before", runtime.NumGoroutine(), base)
 }

@@ -121,6 +121,9 @@ type VCState struct {
 type InPort struct {
 	Link *Link
 	Kind LinkKind
+	// depth is the per-VC buffer depth; Finalize allocates the rings. An
+	// int32 fits the padding after Kind, keeping InPort at 56 bytes.
+	depth int32
 	// DrainBudget bounds how many flits this input may push through the
 	// crossbar per cycle (the upstream channel bandwidth).
 	DrainBudget int
@@ -300,11 +303,8 @@ type flatSlot struct {
 func newRouter(cfg *Config, id NodeID) *Router {
 	r := &Router{ID: id, InjectPort: 0, EjectPort: 0, ejBW: cfg.EjectionBandwidth}
 	// Injection input port.
-	inj := &InPort{Kind: KindLocal, DrainBudget: cfg.InjectionBandwidth}
+	inj := &InPort{Kind: KindLocal, depth: int32(cfg.BufPerVC(KindLocal)), DrainBudget: cfg.InjectionBandwidth}
 	inj.VCs = make([]VCState, cfg.VCs)
-	for i := range inj.VCs {
-		inj.VCs[i].Buf = FlitQueue{buf: make([]Flit, cfg.BufPerVC(KindLocal))}
-	}
 	r.In = append(r.In, inj)
 	// Ejection output port: no link, no credits needed beyond rate limit.
 	ej := &OutPort{Kind: KindLocal, Interface: true}
@@ -318,14 +318,11 @@ func (r *Router) AddInPort(cfg *Config, l *Link) int {
 	p := &InPort{
 		Link:        l,
 		Kind:        l.Kind,
+		depth:       int32(cfg.BufPerVC(l.Kind)),
 		DrainBudget: l.Bandwidth,
 		Interface:   l.Kind != KindOnChip,
 	}
 	p.VCs = make([]VCState, cfg.VCs)
-	depth := cfg.BufPerVC(l.Kind)
-	for i := range p.VCs {
-		p.VCs[i].Buf = FlitQueue{buf: make([]Flit, depth)}
-	}
 	r.In = append(r.In, p)
 	return len(r.In) - 1
 }
@@ -573,7 +570,6 @@ func (r *Router) deliverRun(inPort int, arr []Flit) {
 type tickContext struct {
 	net       *Network
 	scratch   *workerScratch
-	tracer    Tracer
 	reference bool
 }
 
@@ -663,15 +659,10 @@ func (r *Router) grantVC(slot int, vc *VCState, port int, outVC VCID) {
 // vaFail records a VC-allocation failure (the retry happens next cycle).
 // When the routing level guarantees the retry would recompute the same
 // candidates, the slot parks on the candidate ports instead of rescanning
-// every cycle — except under a tracer, whose per-cycle EvVAFail events
-// need the revisits.
+// every cycle.
 func (r *Router) vaFail(ctx *tickContext, slot int, vc *VCState, pktID uint64, restricted bool, cands []Candidate) {
 	vc.candsPkt, vc.candsRestricted = pktID, restricted
 	ctx.scratch.vaFailures++
-	if ctx.tracer != nil {
-		ctx.tracer.Trace(Event{Cycle: ctx.net.Now, Kind: EvVAFail, Pkt: pktID, Node: r.ID})
-		return
-	}
 	if ctx.net.stability >= RouteRetryStable {
 		r.parkVA(slot, cands)
 	}
@@ -1105,9 +1096,6 @@ func (r *Router) saSlotFast(ctx *tickContext, slot int, outSlots, outVCs, inUsed
 	} else {
 		if headSeq == 0 {
 			pkt := vc.Buf.FrontPkt()
-			if ctx.tracer != nil {
-				ctx.tracer.Trace(Event{Cycle: net.Now, Kind: EvHop, Pkt: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
-			}
 			switch out.Kind {
 			case KindOnChip:
 				pkt.HopsOnChip++
@@ -1262,9 +1250,6 @@ func (r *Router) forward(ctx *tickContext, in *InPort, vc *VCState, out *OutPort
 		return
 	}
 	if f.IsHead() {
-		if ctx.tracer != nil {
-			ctx.tracer.Trace(Event{Cycle: net.Now, Kind: EvHop, Pkt: pkt.ID, Node: r.ID, Port: vc.OutPort, VC: vc.OutVC, Kind2: out.Kind})
-		}
 		switch out.Kind {
 		case KindOnChip:
 			pkt.HopsOnChip++

@@ -57,17 +57,16 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 		{KindOnChip, 5, 15},
 	} {
 		net, _ := twoNodeNet(t, tc.kind, nil)
-		var arrived *Packet
-		net.Sink = func(p *Packet) { arrived = p }
-		p := net.NewPacket(0, 1, 16, 0)
-		net.Offer(p)
+		// The Sink's *Packet is recycled after the call: copy what we need.
+		lat := int64(-1)
+		net.Sink = func(p *Packet) { lat = p.ArrivedAt - p.CreatedAt }
+		net.Offer(net.NewPacket(0, 1, 16, 0))
 		if err := runCycles(net, 200); err != nil {
 			t.Fatalf("%v: %v", tc.kind, err)
 		}
-		if arrived == nil {
+		if lat < 0 {
 			t.Fatalf("%v: packet not delivered", tc.kind)
 		}
-		lat := arrived.ArrivedAt - arrived.CreatedAt
 		if lat < tc.lo || lat > tc.hi {
 			t.Errorf("%v: zero-load latency %d outside [%d,%d]", tc.kind, lat, tc.lo, tc.hi)
 		}
@@ -163,11 +162,14 @@ func TestVCTAdmissionHoldsWholePacket(t *testing.T) {
 
 func TestEnergyAccumulatesPerHop(t *testing.T) {
 	net, _ := twoNodeNet(t, KindParallel, nil)
-	var pkt *Packet
-	net.Sink = func(p *Packet) { pkt = p }
+	var pkt Packet // a copy: the Sink's *Packet is recycled after the call
+	net.Sink = func(p *Packet) { pkt = *p }
 	net.Offer(net.NewPacket(0, 1, 4, 0))
 	if err := runCycles(net, 200); err != nil {
 		t.Fatal(err)
+	}
+	if pkt.ArrivedAt < 0 || pkt.Length != 4 {
+		t.Fatalf("packet not delivered: %+v", pkt)
 	}
 	cfg := net.Cfg
 	// 4 flits × (parallel link + router at src + router at dst).

@@ -10,8 +10,8 @@ import (
 // kernel manifest records for the saturated mesh cases: once the engine
 // is warm (every scratch slice and work list at steady capacity), a
 // sequential Step under full saturation load allocates nothing. Packet
-// churn is covered too — PoolPackets recycles finished packets, so even
-// the injection path stays off the heap.
+// churn is covered too — finished packets are recycled through the free
+// list, so even the injection path stays off the heap.
 func TestSaturatedStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job covers this")

@@ -157,22 +157,6 @@ func (t *Topo) ChipletOrigin(c int) (gx, gy int) {
 	return cx * t.NodesX, cy * t.NodesY
 }
 
-// ShardCuts returns the node indices at chiplet-row boundaries — the
-// starts of each horizontal row of chiplets in the row-major node
-// numbering. Nodes of one chiplet row are contiguous (a chiplet itself is
-// not), so cutting the parallel stepper's shards here keeps every chiplet
-// whole within a shard: cross-shard traffic crosses chiplet boundaries on
-// the modeled D2D interface links rather than intra-chiplet mesh hops.
-// Feed the result to network.SetShardCuts before SetWorkers.
-func (t *Topo) ShardCuts() []int {
-	row := t.GX * t.NodesY
-	cuts := make([]int, 0, t.ChipletsY-1)
-	for b := row; b < t.N; b += row {
-		cuts = append(cuts, b)
-	}
-	return cuts
-}
-
 // ChipletLeaders returns one representative node per chiplet — the node
 // nearest each chiplet's center — with chiplets visited in serpentine
 // order (left-to-right on even chiplet rows, right-to-left on odd ones).

@@ -320,28 +320,3 @@ func TestFailLinkOnAlreadyDeadIsIdempotent(t *testing.T) {
 		t.Fatalf("re-failing a dead link should be a no-op, got %v", err)
 	}
 }
-
-func TestShardCuts(t *testing.T) {
-	_, topo := build(t, UniformParallelMesh, 3, 2, 4, 5)
-	// 2 chiplet rows of 12×5 nodes: one cut at 60.
-	if got := topo.ShardCuts(); len(got) != 1 || got[0] != 60 {
-		t.Fatalf("ShardCuts = %v, want [60]", got)
-	}
-	_, topo = build(t, HeteroPHYTorus, 4, 4, 8, 8)
-	cuts := topo.ShardCuts()
-	if len(cuts) != 3 {
-		t.Fatalf("ShardCuts = %v, want 3 cuts", cuts)
-	}
-	for i, c := range cuts {
-		if want := (i + 1) * 32 * 8; c != want {
-			t.Errorf("cut %d = %d, want %d", i, c, want)
-		}
-		// Every node below the cut is in an earlier chiplet row than every
-		// node at or above it.
-		lo := topo.ChipletID(network.NodeID(c-1)) / topo.ChipletsX
-		hi := topo.ChipletID(network.NodeID(c)) / topo.ChipletsX
-		if lo >= hi {
-			t.Errorf("cut %d does not separate chiplet rows (%d vs %d)", c, lo, hi)
-		}
-	}
-}
